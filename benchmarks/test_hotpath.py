@@ -120,7 +120,9 @@ def test_hotpath(benchmark):
         ws = comp.workspace
         t = {
             "kernel_seed_s": _best_of(lambda: _seed_kernel(data, eb)),
-            "kernel_fused_s": _best_of(lambda: comp._quantize_encode(data, eb, ws)),
+            "kernel_fused_s": _best_of(
+                lambda: comp._quantize_encode_batch([data], np.array([eb]), ws)
+            ),
             "compress_seed_s": _best_of(lambda: _seed_compress(data, eb, codec)),
             "compress_fused_s": _best_of(lambda: comp.compress(data, eb)),
         }

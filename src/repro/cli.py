@@ -281,6 +281,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         DirectoryStream,
         DriftConfig,
         InSituController,
+        LedgerError,
         RunLedger,
         SimulatorStream,
         replay_ledger,
@@ -289,7 +290,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.replay is not None:
         # recover=True tolerates (and reports) a torn final line without
         # modifying the file — replaying a crashed run's ledger works.
-        source = RunLedger.load(args.replay, recover=True)
+        try:
+            source = RunLedger.load(args.replay, recover=True)
+            decisions = replay_ledger(source)
+        except LedgerError as exc:
+            print(f"stream: {exc}", file=sys.stderr)
+            return 2
         if source.recovered_tail is not None:
             tail = source.recovered_tail
             print(
@@ -297,7 +303,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 f"after byte offset {tail['valid_bytes']} "
                 f"({tail['valid_events']} valid events kept)"
             )
-        decisions = replay_ledger(source)
         rows = [
             [d.snapshot_index, d.redshift, d.field, d.eb_avg, min(d.ebs), max(d.ebs)]
             for d in decisions
@@ -342,16 +347,20 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         # Run settings (drift, budget, compressor, candidates, ...) come
         # from the ledger's run_start event, not from the flags above;
         # only process-local choices are taken from the command line.
-        controller = InSituController.resume(
-            args.ledger,
-            backend=args.backend,
-            default_spec=FieldSpec(spectrum_tolerance=args.tolerance),
-            retry=retry,
-            fallback_compressor=args.fallback_compressor,
-            fsync_ledger=args.fsync_ledger,
-            seed=args.seed,
-            retain_results=False,
-        )
+        try:
+            controller = InSituController.resume(
+                args.ledger,
+                backend=args.backend,
+                default_spec=FieldSpec(spectrum_tolerance=args.tolerance),
+                retry=retry,
+                fallback_compressor=args.fallback_compressor,
+                fsync_ledger=args.fsync_ledger,
+                seed=args.seed,
+                retain_results=False,
+            )
+        except LedgerError as exc:
+            print(f"stream: {exc}", file=sys.stderr)
+            return 2
         done = controller.report.n_snapshots
         print(f"resuming at snapshot {done}/{len(stream)} (ledger: {args.ledger})")
     else:

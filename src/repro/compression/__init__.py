@@ -28,7 +28,7 @@ pipeline in vectorized NumPy:
 
 from repro.compression.sz import SZCompressor, CompressedBlock, decompress
 from repro.compression.workspace import Workspace
-from repro.compression.estimator import RateEstimate, estimate_nbytes
+from repro.compression.estimator import RateEstimate
 from repro.compression.zfp_like import ZFPLikeCompressor
 from repro.compression.regression import AdaptiveSZCompressor
 from repro.compression.codecs import HuffmanCodec, RawCodec, ZlibCodec, get_codec
@@ -65,7 +65,6 @@ __all__ = [
     "decompress",
     "Workspace",
     "RateEstimate",
-    "estimate_nbytes",
     "ZFPLikeCompressor",
     "AdaptiveSZCompressor",
     "HuffmanCodec",

@@ -50,17 +50,8 @@ __all__ = [
     "UNIFORM_MSE_FACTOR",
     "RateEstimate",
     "RQEstimate",
-    "code_census",
     "code_census_rows",
-    "code_histogram",
-    "shannon_bits_per_value",
-    "byte_plane_bits",
-    "byte_plane_bits_sparse",
-    "estimate_code_bits",
-    "estimate_code_bits_sparse",
-    "estimate_nbytes",
     "estimate_nbytes_rows",
-    "estimate_nbytes_sparse",
     "predicted_quantization_mse",
     "predicted_psnr_db",
     "predicted_nrmse",
@@ -218,29 +209,6 @@ class RQEstimate(RateEstimate):
         return predicted_nrmse(self.predicted_mse, self.value_range)
 
 
-def code_histogram(codes: np.ndarray, radius: int) -> np.ndarray:
-    """Symbol frequencies of the bounded quantization codes.
-
-    ``minlength=2*radius`` so the histogram always spans the full code
-    alphabet ``[0, 2*radius)`` regardless of which symbols occur.
-
-    The estimation functions below also accept *compact* histograms — a
-    slice of the full one starting at symbol ``offset`` — so hot callers
-    can bin only the occupied code range (see ``hist_offset``).
-    """
-    return np.bincount(codes.reshape(-1), minlength=2 * radius)
-
-
-def shannon_bits_per_value(hist: np.ndarray) -> float:
-    """Empirical Shannon entropy of the symbol histogram (bits/value)."""
-    counts = hist[hist > 0]
-    n = counts.sum()
-    if n == 0 or counts.size <= 1:
-        return 0.0
-    p = counts / n
-    return float(-(p * np.log2(p)).sum())
-
-
 def _minimal_itemsize(max_symbol: int) -> int:
     """Bytes per code in the narrowed stream the codec actually sees."""
     if max_symbol <= 0xFF:
@@ -252,163 +220,14 @@ def _minimal_itemsize(max_symbol: int) -> int:
     return 8
 
 
-def code_census(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(symbols, counts)`` of a code stream, sorted by symbol.
-
-    The sparse analogue of :func:`code_histogram`: ``O(n log n)`` in the
-    stream length instead of ``O(symbol span)``, which is what the hot
-    probe path wants — at tight bounds a 16^3 partition's residual codes
-    can span 1e5+ values, making dense histogram passes (build, scan,
-    regroup) cost 25x the stream itself.
-    """
-    return np.unique(np.reshape(codes, -1), return_counts=True)
-
-
-def byte_plane_bits(hist: np.ndarray, hist_offset: int = 0) -> tuple[float, int, int]:
-    """Sum of per-byte-plane marginal entropies of the narrowed codes.
-
-    Returns ``(bits_per_value, itemsize, distinct_byte_values)``.
-    Derived from the symbol histogram alone: plane ``k`` of symbol ``s``
-    is ``(s >> 8k) & 0xFF``, so each plane's byte histogram is a
-    weighted regrouping of the symbol frequencies.  This is the quantity
-    DEFLATE's literal coding responds to — a 16-bit symbol stream is two
-    interleaved byte streams to it.  ``hist_offset`` shifts compact
-    histograms back to true symbol values (bin ``i`` counts symbol
-    ``i + hist_offset``).
-    """
-    syms = np.flatnonzero(hist)
-    if syms.size == 0:
-        return 0.0, 1, 0
-    freqs = hist[syms].astype(np.float64)
-    if hist_offset:
-        syms = syms + hist_offset
-    return byte_plane_bits_sparse(syms, freqs)
-
-
-def byte_plane_bits_sparse(
-    syms: np.ndarray, counts: np.ndarray
-) -> tuple[float, int, int]:
-    """:func:`byte_plane_bits` from a sparse ``(symbols, counts)`` census.
-
-    ``syms`` must be sorted ascending (as :func:`code_census` returns);
-    only the occupied symbols are touched, so the cost is independent of
-    the code span.
-    """
-    if len(syms) == 0:
-        return 0.0, 1, 0
-    syms = np.asarray(syms)
-    freqs = np.asarray(counts, dtype=np.float64)
-    itemsize = _minimal_itemsize(int(syms[-1]))
-    total = 0.0
-    distinct = 0
-    for k in range(itemsize):
-        plane = ((syms >> (8 * k)) & 0xFF).astype(np.intp)
-        plane_hist = np.bincount(plane, weights=freqs, minlength=256)
-        total += shannon_bits_per_value(plane_hist)
-        distinct += int((plane_hist > 0).sum())
-    return total, itemsize, distinct
-
-
-def estimate_code_bits(
-    hist: np.ndarray, codec_name: str = "zlib", hist_offset: int = 0
-) -> float:
-    """Predicted entropy-stage bits per value for the code stream.
-
-    ``hist`` may be compact (bin ``i`` = symbol ``i + hist_offset``).
-    """
-    hist = np.asarray(hist)
-    syms = np.flatnonzero(hist)
-    counts = hist[syms]
-    if hist_offset:
-        syms = syms + hist_offset
-    return estimate_code_bits_sparse(syms, counts, codec_name)
-
-
-def estimate_code_bits_sparse(
-    syms: np.ndarray, counts: np.ndarray, codec_name: str = "zlib"
-) -> float:
-    """:func:`estimate_code_bits` from a sparse ``(symbols, counts)``
-    census (sorted by symbol, as :func:`code_census` returns)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    n = float(counts.sum())
-    if n == 0:
-        return 0.0
-    if codec_name == "raw":
-        top = int(syms[-1]) if len(syms) else 0
-        return 8.0 * _minimal_itemsize(top)
-    if codec_name == "huffman":
-        p = counts / n
-        h = float(-(p * np.log2(p)).sum())
-        gain = float(np.interp(h, _HUFF_ZLIB_H, _HUFF_ZLIB_G))
-        table_bits = 8.0 * (_HUFF_TABLE_BASE + _HUFF_TABLE_PER_SYMBOL * len(syms)) / n
-        return h * gain + table_bits
-    # zlib / DEFLATE (also the fallback for unknown codecs: every
-    # entropy stage in this library is deflate-backed).
-    hb, itemsize, distinct = byte_plane_bits_sparse(syms, counts)
-    h_per_byte = hb / itemsize
-    eff = float(np.interp(h_per_byte, _DEFLATE_EFF_H, _DEFLATE_EFF_G))
-    chunks = max(1.0, np.ceil(n * itemsize / _DEFLATE_CHUNK_BYTES))
-    ent_bytes = hb / 8.0 * n
-    tree_per_chunk = min(
-        _DEFLATE_TREE_BASE + _DEFLATE_TREE_PER_BYTE_SYMBOL * distinct,
-        _DEFLATE_TREE_CAP_FRACTION * ent_bytes / chunks + _DEFLATE_TREE_CAP_BASE,
-    )
-    return min(eff * hb + 8.0 * chunks * tree_per_chunk / n, 8.06 * itemsize)
-
-
-def estimate_nbytes(
-    hist: np.ndarray,
-    n_elements: int,
-    n_outliers: int,
-    codec_name: str = "zlib",
-    *,
-    header_bytes: int = HEADER_BYTES,
-    hist_offset: int = 0,
-) -> tuple[float, float]:
-    """Predict a block's total stored size from its code histogram.
-
-    Returns ``(est_nbytes, code_bits_per_value)``.  The layout charged
-    mirrors :class:`repro.compression.sz.CompressedBlock`: header +
-    entropy-coded codes + outlier positions/values (empty outlier
-    channels cost nothing, matching the compressor's empty-payload
-    short-circuit).  ``hist`` may be compact (see ``hist_offset``).
-    """
-    if n_elements <= 0:
-        raise ValueError("n_elements must be positive")
-    if n_outliers < 0:
-        raise ValueError("n_outliers must be non-negative")
-    bits = estimate_code_bits(hist, codec_name, hist_offset)
-    return _nbytes_from_bits(bits, n_elements, n_outliers, header_bytes), bits
-
-
-def estimate_nbytes_sparse(
-    syms: np.ndarray,
-    counts: np.ndarray,
-    n_elements: int,
-    n_outliers: int,
-    codec_name: str = "zlib",
-    *,
-    header_bytes: int = HEADER_BYTES,
-) -> tuple[float, float]:
-    """:func:`estimate_nbytes` from a sparse ``(symbols, counts)`` census
-    (see :func:`code_census`) — the hot-probe entry point whose cost is
-    independent of the code span."""
-    if n_elements <= 0:
-        raise ValueError("n_elements must be positive")
-    if n_outliers < 0:
-        raise ValueError("n_outliers must be non-negative")
-    bits = estimate_code_bits_sparse(syms, counts, codec_name)
-    return _nbytes_from_bits(bits, n_elements, n_outliers, header_bytes), bits
-
-
 def code_census_rows(
     codes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row sparse census of a ``(B, n)`` code matrix.
 
     Returns ``(symbols, counts, row_ids)`` — the concatenation of every
-    row's :func:`code_census`, with ``row_ids`` mapping each entry back
-    to its row.  **Sorts the rows of ``codes`` in place** (callers pass
+    row's ``(symbol, count)`` pairs sorted by symbol, with ``row_ids``
+    mapping each entry back to its row.  **Sorts the rows of ``codes`` in place** (callers pass
     a workspace view they own); one group-wide sort plus a handful of
     flat passes replaces ``B`` interpreter round-trips.
     """
@@ -433,17 +252,22 @@ def estimate_nbytes_rows(
     *,
     header_bytes: int = HEADER_BYTES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`estimate_nbytes` over the rows of a ``(B, n)``
+    """Predict each block's stored size from the rows of a ``(B, n)``
     code matrix (sorted in place — see :func:`code_census_rows`).
 
-    Returns ``(est_nbytes (B,), code_bits_per_value (B,))``.  This is
+    Returns ``(est_nbytes (B,), code_bits_per_value (B,))``.  The layout
+    charged mirrors :class:`repro.compression.sz.CompressedBlock`:
+    header + entropy-coded codes + outlier positions/values (empty
+    outlier channels cost nothing, matching the compressor's
+    empty-payload short-circuit).  A single block is a batch of one.
+    This is
     the probe-side analogue of the batched compression kernels: the
     whole group's size predictions come from one census and a few
     group-wide reductions, so probing 64 partitions costs barely more
     than probing one.
     """
-    n_rows, n = codes.shape
     syms, counts, row_ids = code_census_rows(codes)
+    n_rows, n = codes.shape
     counts_f = counts.astype(np.float64)
     nf = float(n)
     row_max = codes[:, -1]  # rows are now sorted ascending
@@ -498,6 +322,8 @@ def estimate_nbytes_rows(
         )
     n_out = np.asarray(n_outliers)
     total = header_bytes + nf * bits / 8.0 + PAYLOAD_CONTAINER_BYTES
+    # Outlier positions are narrowed to the smallest uint covering the
+    # block (plus a 1-byte width tag on the channel); values stay 8 bytes.
     pos_itemsize = _minimal_itemsize(max(n - 1, 0))
     total = total + np.where(
         n_out > 0,
@@ -506,15 +332,3 @@ def estimate_nbytes_rows(
     )
     return total, bits
 
-
-def _nbytes_from_bits(
-    bits: float, n_elements: int, n_outliers: int, header_bytes: int
-) -> float:
-    total = float(header_bytes)
-    total += n_elements * bits / 8.0 + PAYLOAD_CONTAINER_BYTES
-    if n_outliers:
-        # Positions are narrowed to the smallest uint covering the block
-        # (plus a 1-byte width tag on the channel); values stay 8 bytes.
-        pos_itemsize = _minimal_itemsize(max(n_elements - 1, 0))
-        total += n_outliers * (8 + pos_itemsize) + 1 + 2 * PAYLOAD_CONTAINER_BYTES
-    return total

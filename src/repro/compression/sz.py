@@ -36,8 +36,6 @@ from repro.compression.codecs import Codec, _minimal_uint_dtype, get_codec
 from repro.compression.estimator import (
     HEADER_BYTES,
     RQEstimate,
-    code_histogram,
-    estimate_nbytes,
     estimate_nbytes_rows,
 )
 from repro.compression.kernels import (
@@ -440,9 +438,12 @@ class SZCompressor:
                     work, abs_eb = self._to_workspace(arr, float(eb_arr[i]))
                     work3 = np.atleast_3d(work)
                     codes3d, recon = classic_sz_quantize(work3, abs_eb, self.radius)
-                    hist = code_histogram(codes3d, self.radius)
-                    est_bytes, bits = estimate_nbytes(
-                        hist, arr.size, int(hist[0]), self.codec.name
+                    # A single block is a batch of one (code 0 marks an
+                    # outlier; the census sorts the row in place).
+                    codes = codes3d.reshape(1, -1)
+                    n_out = int(np.count_nonzero(codes == 0))
+                    est_row, bits_row = estimate_nbytes_rows(
+                        codes, np.array([n_out]), self.codec.name
                     )
                     err = work3 - recon
                     if self.mode != "abs":
@@ -450,7 +451,8 @@ class SZCompressor:
                         err *= np.atleast_3d(np.asarray(arr, dtype=np.float64))
                     mse = float(np.mean(np.square(err)))
                     out[i] = finish(
-                        arr, float(eb_arr[i]), est_bytes, bits, int(hist[0]), mse
+                        arr, float(eb_arr[i]), float(est_row[0]),
+                        float(bits_row[0]), n_out, mse,
                     )
                 return out  # type: ignore[return-value]
             groups: dict[tuple[int, ...], list[int]] = {}
@@ -583,10 +585,6 @@ class SZCompressor:
         :func:`decompress` and ignores the instance's own settings.
         """
         return decompress(block)
-
-    def compress_ratio(self, data: np.ndarray, eb: float) -> float:
-        """Convenience: compress and return only the ratio."""
-        return self.compress(data, eb).ratio
 
     # -- internals --------------------------------------------------------
 
@@ -762,19 +760,6 @@ class SZCompressor:
                 return get_backend("thread").map_tasks(build, range(n_blocks))
             return [build(b) for b in range(n_blocks)]
 
-    def _quantize_encode(
-        self, arr: np.ndarray, eb: float, ws: Workspace
-    ) -> QuantizedResiduals:
-        """Single-block view of the batched front (a batch of one).
-
-        Kept for the estimator and as the historical probing surface;
-        the returned codes are a row view of the batch arena, valid
-        until ``batch_lattice_i64`` is requested again.
-        """
-        eb_arr = np.asarray([eb], dtype=np.float64)
-        codes, _counts, pos, val = self._quantize_encode_batch([arr], eb_arr, ws)
-        return QuantizedResiduals(codes[0], pos, val, self.radius)
-
     def _to_workspace(self, arr: np.ndarray, eb: float) -> tuple[np.ndarray, float]:
         """Map data into the space where the bound is absolute."""
         work = np.asarray(arr, dtype=np.float64)
@@ -783,28 +768,6 @@ class SZCompressor:
         if (work <= 0).any():
             raise ValueError("pw_rel mode requires strictly positive data")
         return np.log(work), pw_rel_to_log_abs(eb)
-
-    def _encode_payloads(self, qr: QuantizedResiduals, ws: Workspace) -> dict[str, bytes]:
-        """Single-block payload assembly (compat/reference; the batch
-        path produces byte-identical output per block)."""
-        codes = qr.codes
-        dt = _minimal_uint_dtype(int(codes.max()) if codes.size else 0)
-        if codes.dtype == dt:
-            narrow = codes
-        else:
-            # Narrow once here instead of inside the codec, so the
-            # int64 workspace codes never round-trip through a fresh
-            # full-width copy on their way to the entropy stage.
-            narrow = ws.request("codes_narrow", codes.shape, dt)
-            np.copyto(narrow, codes, casting="unsafe")
-        pos_dt = _minimal_uint_dtype(max(int(codes.size) - 1, 0))
-        return {
-            "codes": self.codec.encode_narrowed(narrow),
-            "outlier_pos": _pack_outlier_pos(
-                qr.outlier_positions.astype(pos_dt, copy=False)
-            ),
-            "outlier_val": _deflate_channel(_zigzag(qr.outlier_values)),
-        }
 
 
 def decompress(block: CompressedBlock) -> np.ndarray:

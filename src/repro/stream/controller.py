@@ -23,9 +23,12 @@ closes the loop the batch campaign leaves open —
   scales every field's error bound through the rate model's own power
   law to land on it;
 - **an append-only ledger**: every calibration, decision, outcome and
-  budget step is recorded (:mod:`repro.stream.ledger`), and
-  :func:`replay_ledger` re-executes the decision logic from the ledger
-  alone — byte-identical bounds, no field data touched.
+  budget step is recorded (:mod:`repro.stream.ledger`) and read by one
+  fold over a run's events.  :func:`replay_ledger` folds each run and
+  returns byte-identical bounds, no field data touched; resume folds the
+  last run up to its resume point, so it verifies every decision as
+  replay does.  A ``resume`` event at snapshot ``s`` supersedes the
+  per-snapshot events recorded before it for snapshots ``>= s``.
 
 Per-field compression fans out over the PR 1
 :class:`~repro.parallel.backends.ExecutionBackend` registry exactly as
@@ -38,8 +41,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Mapping
-from dataclasses import dataclass, field as dataclass_field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field as dataclass_field, replace
 from types import MappingProxyType
 from typing import Any
 
@@ -335,16 +338,17 @@ class StreamReport:
 class _FieldState:
     """Everything the controller warm-starts from snapshot to snapshot."""
 
-    spec: FieldSpec
     calibration: CalibrationResult
-    pipeline: AdaptiveCompressionPipeline
     eb_base: float
     halo_params: tuple[float, float] | None
     detector: DriftDetector
     #: Serializable identity of the field's compressor (``None`` for
-    #: caller-owned instances that carry no spec); recorded with every
-    #: ledger decision so replays and audits know what compressed what.
+    #: caller-owned instances that carry no spec, and in a ledger fold
+    #: for the run's default); recorded with every ledger decision so
+    #: replays and audits know what compressed what.
     compressor_spec: CompressorSpec | None = None
+    #: ``None`` only in a ledger fold, which never resolves compressors.
+    pipeline: AdaptiveCompressionPipeline | None = None
 
 
 # -- the controller ----------------------------------------------------------
@@ -532,7 +536,6 @@ class InSituController:
             self.report.n_recoveries += 1
         self._states: dict[str, _FieldState] = {}
         self._selections: dict[str, SelectionResult] = {}
-        self._field_order: list[str] = []
         self._pending: set[str] = set()
         self._quarantined: set[str] = set()
         self._snapshot_index = 0
@@ -762,13 +765,9 @@ class InSituController:
             )
         halo_params = derive_halo_params(spec, ref) if spec.halo_aware else None
         previous = self._states.get(name)
-        if previous is not None:
-            detector = previous.detector
-            detector.reset()
-        else:
-            detector = DriftDetector(name, self.drift)
+        detector = previous.detector if previous else DriftDetector(name, self.drift)
+        detector.reset()
         state = _FieldState(
-            spec=spec,
             calibration=calibration,
             pipeline=AdaptiveCompressionPipeline(
                 calibration.rate_model,
@@ -782,8 +781,6 @@ class InSituController:
             compressor_spec=spec_of(compressor),
         )
         self._states[name] = state
-        if name not in self._field_order:
-            self._field_order.append(name)
         kind = "calibration" if reason == "initial" else "recalibration"
         if kind == "recalibration":
             self.report.n_recalibrations += 1
@@ -812,14 +809,6 @@ class InSituController:
             ),
         )
         return state
-
-    def _exponent_mean(self) -> float:
-        exps = [self._states[f].calibration.rate_model.exponent for f in self._field_order]
-        # This left-fold is FROZEN: ledgers record governor decisions
-        # derived from it, and replay (which repeats the identical
-        # expression below) must reproduce them bitwise.  Switching to
-        # math.fsum would orphan every ledger written before the change.
-        return sum(exps) / len(exps)  # repro-lint: disable=RL006
 
     # -- streaming -------------------------------------------------------
 
@@ -865,45 +854,6 @@ class InSituController:
 
     # -- crash recovery --------------------------------------------------
 
-    #: Event kinds whose effects are superseded when a later ``resume``
-    #: event re-records the same snapshot (a crash mid-snapshot leaves a
-    #: partial set of events; the authoritative copies follow the
-    #: resume).
-    _PER_SNAPSHOT_KINDS = (
-        "selection",
-        "calibration",
-        "recalibration",
-        "decision",
-        "outcome",
-        "degradation",
-    )
-
-    @staticmethod
-    def _effective_events(run_events: list[LedgerEvent]) -> list[LedgerEvent]:
-        """The run's events with resume-superseded partial segments dropped.
-
-        Each ``resume`` event at snapshot ``s`` declares that everything
-        recorded for snapshots ``>= s`` before it belongs to an
-        interrupted attempt that is about to be re-executed; the copies
-        appended after the resume are the ones a restored controller
-        (and replay) must trust.
-        """
-        effective: list[LedgerEvent] = []
-        for event in run_events:
-            if event.kind == "resume":
-                cut = int(event.data["snapshot"])
-                effective = [
-                    e
-                    for e in effective
-                    if not (
-                        e.kind in InSituController._PER_SNAPSHOT_KINDS
-                        and int(e.data.get("snapshot", -1)) >= cut
-                    )
-                ]
-                continue
-            effective.append(event)
-        return effective
-
     @classmethod
     def resume(
         cls,
@@ -925,13 +875,15 @@ class InSituController:
 
         Opens ``ledger`` with ``recover=True`` (a torn final line — the
         footprint of a crash mid-append — is truncated and recorded as a
-        ``recovery`` event), restores every per-field rate model,
-        compressor selection, drift-detector trajectory, quarantine set
-        and the :class:`BudgetGovernor`'s byte accounting from the
-        events, and positions the controller at the first snapshot
-        without a complete record.  Calling :meth:`run` with the
-        original stream then skips the completed dumps and produces
-        decisions bitwise identical to a run that was never
+        ``recovery`` event) and folds the last run exactly as
+        :func:`replay_ledger` does, so a ledger replay rejects raises
+        :class:`~repro.stream.ledger.LedgerError` here too.  The fold up
+        to the resume point (the first snapshot without a complete
+        record) restores every per-field rate model, compressor
+        selection, drift-detector trajectory, quarantine and the
+        :class:`BudgetGovernor`'s byte accounting.  Calling :meth:`run`
+        with the original stream then skips the completed dumps and
+        produces decisions bitwise identical to a run that was never
         interrupted.
 
         Settings recorded in the ``run_start`` event (optimizer
@@ -967,9 +919,12 @@ class InSituController:
                 tuple(rs["shape"]), blocks=tuple(rs["blocks"])
             )
 
-        effective = cls._effective_events(run_events)
-        governor_events = [e for e in effective if e.kind == "governor"]
-        gov = governor_events[-1].data if governor_events else None
+        # Verify the run as replay does, then fold it as it will read once
+        # the resume event below supersedes the snapshot it re-executes.
+        resume_index = _fold_run(run_events).resume_point
+        marker = LedgerEvent(-1, "resume", {"snapshot": resume_index})
+        state = _fold(_effective_events([*run_events, marker]), verify=False)
+        gov = state.governor
 
         ctl = cls(
             decomposition,
@@ -996,43 +951,37 @@ class InSituController:
             max_partitions=max_partitions,
             seed=seed,
             check_quality=check_quality,
-            governor_gain=gov["gain"] if gov else 1.0,
-            governor_max_scale=gov["max_scale"] if gov else 4.0,
+            governor_gain=gov.gain if gov else 1.0,
+            governor_max_scale=gov.max_scale if gov else 4.0,
             retain_results=retain_results,
             retry=retry,
             fallback_compressor=fallback_compressor,
         )
-
-        run_end = next((e for e in effective if e.kind == "run_end"), None)
-        budget_events = [e for e in effective if e.kind == "budget"]
-        if run_end is not None:
-            # A sealed run: everything is complete; run() on the same
-            # stream would skip every snapshot and finish() is a no-op.
-            resume_index = int(run_end.data["n_snapshots"])
-        elif budget_events:
-            # Governed run: each budget event seals exactly one
-            # completed snapshot, so their count is the resume point.
-            resume_index = len(budget_events)
-        else:
-            # Ungoverned run: nothing in the ledger distinguishes "last
-            # snapshot complete" from "crashed between its last outcome
-            # and the next snapshot", so the last referenced snapshot is
-            # conservatively re-executed.  Re-recorded events are
-            # superseded via the resume event, so replay and reports
-            # stay identical either way.
-            refs = [
-                int(e.data["snapshot"])
-                for e in effective
-                if e.kind in ("decision", "outcome")
-            ]
-            resume_index = max(refs) if refs else 0
-
-        ctl._restore(effective, resume_index)
-        ctl._snapshot_index = resume_index
+        for st in state.fields.values():
+            if st.compressor_spec is None:
+                compressor = ctl.compressor
+                st.compressor_spec = spec_of(compressor)
+            else:
+                compressor = resolve_compressor(st.compressor_spec)
+            st.pipeline = AdaptiveCompressionPipeline(
+                st.calibration.rate_model,
+                compressor=compressor,
+                settings=ctl.settings,
+                backend=ctl.backend,
+            )
+        ctl._states = state.fields
+        ctl._selections = {
+            name: replace(sel, compressor=resolve_compressor(sel.chosen))
+            for name, sel in state.selections.items()
+        }
+        ctl._pending = state.pending
+        ctl._quarantined = state.quarantined
+        ctl._governor = gov
+        ctl.report = state.report
         ctl.report.n_snapshots = resume_index
-        ctl.report.n_recoveries = sum(1 for e in run_events if e.kind == "recovery")
+        ctl._snapshot_index = resume_index
         ctl._started = True
-        ctl._ended = run_end is not None
+        ctl._ended = state.end is not None
         if not ctl._ended:
             tail = getattr(run_ledger, "recovered_tail", None)
             ctl._append(
@@ -1042,172 +991,6 @@ class InSituController:
                 truncated_bytes=0 if tail is None else tail["truncated_bytes"],
             )
         return ctl
-
-    def _restore(self, effective: list[LedgerEvent], resume_index: int) -> None:
-        """Apply the recorded events up to ``resume_index`` to this
-        (freshly constructed, empty) controller.
-
-        Only completed snapshots' per-field events are applied; the
-        partial snapshot ``resume_index`` (if any) will be re-executed
-        and re-recorded by :meth:`run`.
-        """
-        decisions: dict[tuple[int, str], dict[str, Any]] = {}
-        for event in effective:
-            d = event.data
-            snap = int(d.get("snapshot", -1))
-            if event.kind == "governor":
-                self._make_governor(int(d["n_snapshots"]))
-            elif event.kind == "budget":
-                assert self._governor is not None
-                # Replaying the recorded inputs reproduces the scale and
-                # spent trajectory exactly (observe is deterministic).
-                self._governor.observe(
-                    int(d["snapshot_bytes"]), float(d["exponent_mean"])
-                )
-            elif snap >= resume_index:
-                continue
-            elif event.kind in ("calibration", "recalibration"):
-                self._restore_calibration(d, event.kind)
-            elif event.kind == "selection":
-                self._restore_selection(d)
-            elif event.kind == "decision":
-                decisions[(snap, d["field"])] = d
-            elif event.kind == "outcome":
-                self._restore_outcome(d, decisions.get((snap, d["field"])))
-            elif event.kind == "degradation":
-                name = d["field"]
-                self._quarantined.add(name)
-                self.report.n_degradations += 1
-                if name not in self.report.degraded_fields:
-                    self.report.degraded_fields.append(name)
-
-    def _restore_calibration(self, d: dict[str, Any], kind: str) -> None:
-        name = d["field"]
-        model = RateModel(
-            exponent=d["exponent"],
-            coef_alpha=d["coef_alpha"],
-            coef_beta=d["coef_beta"],
-            feature_floor=d["feature_floor"],
-        )
-        spec_dict = d.get("spec")
-        if spec_dict is not None:
-            compressor_spec = CompressorSpec.from_dict(spec_dict)
-            compressor = resolve_compressor(compressor_spec)
-        else:
-            compressor = self.compressor
-            compressor_spec = spec_of(compressor)
-        empty = np.array([])
-        previous = self._states.get(name)
-        if previous is not None:
-            detector = previous.detector
-            detector.reset()
-        else:
-            detector = DriftDetector(name, self.drift)
-        halo = d.get("halo_params")
-        self._states[name] = _FieldState(
-            spec=self.spec_for(name),
-            # Probe diagnostics are not recorded (they do not feed any
-            # decision); the restored fit carries the model and coef_r2.
-            calibration=CalibrationResult(
-                model, empty, empty, empty, empty, float(d["coef_r2"])
-            ),
-            pipeline=AdaptiveCompressionPipeline(
-                model,
-                compressor=compressor,
-                settings=self.settings,
-                backend=self.backend,
-            ),
-            eb_base=float(d["eb_base"]),
-            halo_params=(
-                None if halo is None else (halo["t_boundary"], halo["mass_budget"])
-            ),
-            detector=detector,
-            compressor_spec=compressor_spec,
-        )
-        if name not in self._field_order:
-            self._field_order.append(name)
-        if kind == "recalibration":
-            self.report.n_recalibrations += 1
-            self.report.recalibrations.append(
-                (int(d["snapshot"]), name, d["reason"])
-            )
-            self._pending.discard(name)
-
-    def _restore_selection(self, d: dict[str, Any]) -> None:
-        chosen = CompressorSpec.from_dict(d["chosen"])
-        self._selections[d["field"]] = SelectionResult(
-            field=d["field"],
-            eb_avg=float(d["eb_avg"]),
-            chosen=chosen,
-            compressor=resolve_compressor(chosen),
-            verdicts=[
-                CandidateVerdict(
-                    spec=CompressorSpec.from_dict(v["spec"]),
-                    eligible=v["eligible"],
-                    reason=v["reason"],
-                    predicted_bit_rate=v["predicted_bit_rate"],
-                    measured_bit_rate=v["measured_bit_rate"],
-                    max_abs_error=v["max_abs_error"],
-                    eb_violation=v["eb_violation"],
-                )
-                for v in d["verdicts"]
-            ],
-        )
-
-    def _restore_outcome(
-        self, d: dict[str, Any], decision: dict[str, Any] | None
-    ) -> None:
-        """Re-feed one recorded outcome into detector/pending/report state.
-
-        Mirrors the live :meth:`_process_field` accounting: the detector
-        consumes the same (predicted, achieved, deviation) numbers it
-        saw live, so its residual window — and therefore every future
-        drift verdict — continues exactly where the interrupted run left
-        it.
-        """
-        name = d["field"]
-        state = self._states.get(name)
-        if state is not None and self.recalibrate == "drift":
-            signal = None
-            if d.get("residual") is not None:
-                signal = state.detector.update_rate(
-                    float(d["predicted_bit_rate"]), float(d["achieved_bit_rate"])
-                )
-            if signal is None and d.get("quality_deviation") is not None:
-                state.detector.update_quality(
-                    float(d["quality_deviation"]), state.spec.spectrum_tolerance
-                )
-        # The recorded flag is authoritative for what the next snapshot
-        # must recalibrate (it folds in both drift channels).
-        if d.get("recalibrate_next"):
-            self._pending.add(name)
-        else:
-            self._pending.discard(name)
-        dd = decision or {}
-        spec_dict = dd.get("spec")
-        self.report.outcomes.append(
-            StreamOutcome(
-                field=name,
-                redshift=float(dd.get("redshift", float("nan"))),
-                snapshot_index=int(d["snapshot"]),
-                eb_base=float(dd.get("eb_base", float("nan"))),
-                scale=float(dd.get("scale", 1.0)),
-                eb_avg=float(dd.get("eb_avg", float("nan"))),
-                compressor_spec=(
-                    None if spec_dict is None else CompressorSpec.from_dict(spec_dict)
-                ),
-                # Payloads are gone with the crashed process; the scalar
-                # accounting (and the on-disk artifacts) remain.
-                result=None,
-                predicted_bit_rate=float(d["predicted_bit_rate"]),
-                achieved_bit_rate=float(d["achieved_bit_rate"]),
-                raw_bytes=int(d["raw_bytes"]),
-                compressed_bytes=int(d["compressed_bytes"]),
-                residual=d.get("residual"),
-                quality_deviation=d.get("quality_deviation"),
-                drift_signal=None,
-            )
-        )
 
     def process_snapshot(self, snapshot: NyxSnapshot) -> list[StreamOutcome]:
         """Decide, compress and account every field of one snapshot."""
@@ -1233,7 +1016,9 @@ class InSituController:
             ]
             if self._governor is not None:
                 snapshot_bytes = sum(o.compressed_bytes for o in outcomes)
-                exponent_mean = self._exponent_mean()
+                exponent_mean = _exponent_mean(
+                    st.calibration.rate_model for st in self._states.values()
+                )
                 scale_next = self._governor.observe(snapshot_bytes, exponent_mean)
                 self._append(
                     "budget",
@@ -1366,7 +1151,6 @@ class InSituController:
             # No decision/outcome events were appended for the failed
             # attempts — the ledger sees only what actually happened.
             state = self._degrade_field(index, name, data, exc)
-            spec = state.spec
             eb_avg = state.eb_base * scale
             halo = self._halo_for(state, eb_avg)
             result = self._run_field(name, state, data, eb_avg, halo)
@@ -1483,7 +1267,7 @@ class InSituController:
         return outcome
 
 
-# -- deterministic ledger replay ---------------------------------------------
+# -- the ledger fold: one interpreter for replay and resume ------------------
 
 
 @dataclass(frozen=True)
@@ -1502,6 +1286,92 @@ class ReplayedDecision:
     compressor: CompressorSpec | None = None
 
 
+#: Event kinds recorded per snapshot.  A ``resume`` event at snapshot
+#: ``s`` supersedes every such event for snapshots ``>= s`` recorded
+#: before it (a crash mid-snapshot leaves a partial set; the
+#: authoritative copies follow the resume).
+_PER_SNAPSHOT_KINDS = (
+    "selection",
+    "calibration",
+    "recalibration",
+    "decision",
+    "outcome",
+    "degradation",
+)
+
+
+def _effective_events(run_events: list[LedgerEvent]) -> list[LedgerEvent]:
+    """The run's events with resume-superseded partial segments dropped.
+
+    The one definition of supersession: each ``resume`` event at
+    snapshot ``s`` declares that everything recorded for snapshots
+    ``>= s`` before it belongs to an interrupted attempt that is about
+    to be re-executed; the copies appended after the resume are the
+    ones a restored controller (and replay) must trust.
+    """
+    effective: list[LedgerEvent] = []
+    for event in run_events:
+        if event.kind == "resume":
+            cut = int(event.data["snapshot"])
+            effective = [
+                e
+                for e in effective
+                if not (
+                    e.kind in _PER_SNAPSHOT_KINDS
+                    and int(e.data.get("snapshot", -1)) >= cut
+                )
+            ]
+            continue
+        effective.append(event)
+    return effective
+
+
+def _exponent_mean(models: Iterable[RateModel]) -> float:
+    """Mean calibrated exponent the governor converts byte errors with."""
+    exps = [m.exponent for m in models]
+    # This left-fold is FROZEN: ledgers record governor decisions derived
+    # from it, and the fold must reproduce them bitwise.  Switching to
+    # math.fsum would orphan every ledger written before the change.
+    return sum(exps) / len(exps)  # repro-lint: disable=RL006
+
+
+@dataclass
+class _RunState:
+    """Everything one run's ledger events determine."""
+
+    governor: BudgetGovernor | None = None
+    #: Per-field state in first-calibration order — the order the
+    #: governor's exponent mean sums in.
+    fields: dict[str, _FieldState] = dataclass_field(default_factory=dict)
+    selections: dict[str, SelectionResult] = dataclass_field(default_factory=dict)
+    pending: set[str] = dataclass_field(default_factory=set)
+    quarantined: set[str] = dataclass_field(default_factory=set)
+    #: Restored outcomes, recalibrations, degradations and recoveries.
+    report: StreamReport = dataclass_field(default_factory=StreamReport)
+    decisions: list[ReplayedDecision] = dataclass_field(default_factory=list)
+    end: dict[str, Any] | None = None
+    n_budgets: int = 0
+    last_snapshot: int = 0
+
+    @property
+    def resume_point(self) -> int:
+        """The first snapshot without a complete record."""
+        if self.end is not None:
+            # A sealed run: everything is complete; run() on the same
+            # stream skips every snapshot and finish() is a no-op.
+            return int(self.end["n_snapshots"])
+        if self.n_budgets:
+            # Governed run: each budget event seals exactly one
+            # completed snapshot, so their count is the resume point.
+            return self.n_budgets
+        # Ungoverned run: nothing in the ledger distinguishes "last
+        # snapshot complete" from "crashed between its last outcome and
+        # the next snapshot", so the last referenced snapshot is
+        # conservatively re-executed.  The resume event supersedes the
+        # re-recorded events, so replay and reports stay identical.
+        return self.last_snapshot
+
+
 def _replay_features(data: dict[str, Any]) -> list[PartitionFeatures]:
     rates = data["cell_rates"] or [None] * len(data["mean_abs"])
     return [
@@ -1512,122 +1382,147 @@ def _replay_features(data: dict[str, Any]) -> list[PartitionFeatures]:
     ]
 
 
-def replay_ledger(
-    source: "RunLedger | str | os.PathLike | list[LedgerEvent]",
-    verify: bool = True,
-) -> list[ReplayedDecision]:
-    """Re-execute a run's decision logic from its ledger alone.
+def _diverged(event: LedgerEvent, what: str, got: object, recorded: object) -> LedgerError:
+    return LedgerError(
+        f"replay diverged at seq {event.seq} ({event.kind}): "
+        f"{what} {got!r} != recorded {recorded!r}"
+    )
 
-    Walks the events in sequence order, reconstructing the rate models
-    from calibration events, the governor trajectory from outcome byte
-    counts, and every per-partition bound vector by re-running the
-    actual optimizer on the recorded features — no field data is read,
-    no compressor is invoked.  JSON round-trips floats exactly, so the
-    replayed bounds are bitwise identical to the live run's.
 
-    With ``verify=True`` (default) every recomputed quantity — governor
-    scale, average bound, per-partition bounds — is checked against the
-    recorded decision and a :class:`~repro.stream.ledger.LedgerError`
-    is raised on the first divergence (a tampered or corrupted ledger,
-    or a non-deterministic controller, which would be a bug).
+def _check_bounds(event: LedgerEvent, ebs: tuple[float, ...]) -> None:
+    """Raise on the first partition whose replayed bound differs."""
+    recorded = [float(e) for e in event.data["ebs"]]
+    if len(ebs) != len(recorded):
+        raise _diverged(event, "partition count", len(ebs), len(recorded))
+    for i, (got, want) in enumerate(zip(ebs, recorded)):
+        if got != want:
+            raise _diverged(event, f"bound of partition {i}", got, want)
 
-    Schema compatibility: v2 ledgers additionally carry compressor specs
-    (surfaced on :attr:`ReplayedDecision.compressor`) and ``selection``
-    events (informational, skipped); v1 (PR 4-era) ledgers carry
-    neither and replay byte-for-byte unchanged.  v3 ledgers add the
-    resilience events: ``recovery`` and ``degradation`` are
-    informational, while ``resume`` supersedes the partial snapshot
-    recorded before an interruption (its authoritative copies follow),
-    so a crashed-and-resumed run replays to the same decision list as
-    an uninterrupted one.
+
+def _fold(events: list[LedgerEvent], verify: bool = True) -> _RunState:
+    """Fold one run's authoritative events into the state they determine.
+
+    This is the only interpreter of ledger events.  Calibration events
+    give the rate models; every decision re-runs the actual optimizer
+    on its recorded features; every budget event re-applies the
+    governor to the snapshot's outcome bytes; outcomes re-feed the
+    drift detectors exactly as the live run did.  No field data is read
+    and no compressor is resolved.  JSON round-trips floats exactly, so
+    with ``verify`` every recomputed quantity — governor scale, average
+    bound, per-partition bounds, snapshot bytes, next scale — must
+    equal the recorded one, or :class:`~repro.stream.ledger.LedgerError`
+    names the first divergence.
     """
-    if isinstance(source, RunLedger):
-        events = source.events
-    elif isinstance(source, list):
-        events = source
-    else:
-        events = RunLedger.load(source).events
-
+    s = _RunState()
     settings: OptimizerSettings | None = None
-    governor: BudgetGovernor | None = None
-    models: dict[str, RateModel] = {}
-    field_order: list[str] = []
-    pending_bytes = 0
-    decisions: list[ReplayedDecision] = []
-    run_first_decision = 0
-
-    def _mismatch(event: LedgerEvent, what: str, got: object, recorded: object) -> LedgerError:
-        return LedgerError(
-            f"replay diverged at seq {event.seq} ({event.kind}): "
-            f"{what} {got!r} != recorded {recorded!r}"
-        )
-
+    drift = DriftConfig()
+    drift_fed = False  # do outcomes feed the detectors (recalibrate="drift")?
+    decided: dict[tuple[int, str], dict[str, Any]] = {}
+    snapshot_bytes = 0
     for event in events:
         d = event.data
-        if event.kind == "run_start":
-            # A ledger file may hold several runs back to back (re-opened
-            # files continue the sequence); every run replays from a
-            # clean slate.
+        kind = event.kind
+        if kind in ("decision", "outcome"):
+            s.last_snapshot = max(s.last_snapshot, int(d["snapshot"]))
+        if kind == "run_start":
             settings = OptimizerSettings(**d["settings"])
-            governor = None
-            models = {}
-            field_order = []
-            pending_bytes = 0
-            run_first_decision = len(decisions)
-        elif event.kind == "governor":
-            governor = BudgetGovernor(
+            drift = DriftConfig(**d["drift"])
+            drift_fed = d["recalibrate"] == "drift"
+            s.report.byte_budget = d.get("byte_budget")
+        elif kind == "governor":
+            s.governor = BudgetGovernor(
                 d["total_bytes"],
                 d["n_snapshots"],
                 gain=d["gain"],
                 max_scale=d["max_scale"],
             )
-        elif event.kind in ("calibration", "recalibration"):
+        elif kind in ("calibration", "recalibration"):
             name = d["field"]
-            models[name] = RateModel(
+            model = RateModel(
                 exponent=d["exponent"],
                 coef_alpha=d["coef_alpha"],
                 coef_beta=d["coef_beta"],
                 feature_floor=d["feature_floor"],
             )
-            if name not in field_order:
-                field_order.append(name)
-        elif event.kind == "decision":
+            previous = s.fields.get(name)
+            detector = previous.detector if previous else DriftDetector(name, drift)
+            detector.reset()
+            empty = np.array([])
+            halo = d.get("halo_params")
+            s.fields[name] = _FieldState(
+                # Probe diagnostics are not recorded (they do not feed any
+                # decision); the restored fit carries the model and coef_r2.
+                calibration=CalibrationResult(
+                    model, empty, empty, empty, empty, float(d["coef_r2"])
+                ),
+                compressor_spec=(
+                    None if d.get("spec") is None else CompressorSpec.from_dict(d["spec"])
+                ),
+                eb_base=float(d["eb_base"]),
+                halo_params=(
+                    None if halo is None else (halo["t_boundary"], halo["mass_budget"])
+                ),
+                detector=detector,
+            )
+            if kind == "recalibration":
+                s.report.n_recalibrations += 1
+                s.report.recalibrations.append((int(d["snapshot"]), name, d["reason"]))
+                s.pending.discard(name)
+        elif kind == "selection":
+            s.selections[d["field"]] = SelectionResult(
+                field=d["field"],
+                eb_avg=float(d["eb_avg"]),
+                chosen=CompressorSpec.from_dict(d["chosen"]),
+                compressor=None,  # resolved by resume(), never by replay
+                verdicts=[
+                    CandidateVerdict(
+                        spec=CompressorSpec.from_dict(v["spec"]),
+                        eligible=v["eligible"],
+                        reason=v["reason"],
+                        predicted_bit_rate=v["predicted_bit_rate"],
+                        measured_bit_rate=v["measured_bit_rate"],
+                        max_abs_error=v["max_abs_error"],
+                        eb_violation=v["eb_violation"],
+                    )
+                    for v in d["verdicts"]
+                ],
+            )
+        elif kind == "decision":
             if settings is None:
                 raise LedgerError("decision event before run_start")
             name = d["field"]
-            if name not in models:
+            folded = s.fields.get(name)
+            if folded is None:
                 raise LedgerError(
                     f"decision for {name!r} at seq {event.seq} has no calibration"
                 )
-            scale = governor.scale if governor is not None else 1.0
+            scale = s.governor.scale if s.governor is not None else 1.0
             if verify and scale != d["scale"]:
-                raise _mismatch(event, "governor scale", scale, d["scale"])
+                raise _diverged(event, "governor scale", scale, d["scale"])
             # The base bound is a recorded *input*: with warm starts it
             # matches the latest calibration event; without them it is
             # re-derived from the data each snapshot, so the decision
             # event is its only record.
-            base = float(d["eb_base"])
-            eb_avg = base * scale
+            eb_avg = float(d["eb_base"]) * scale
             features = _replay_features(d)
+            model = folded.calibration.rate_model
             if d.get("halo") is not None:
-                opt = optimize_combined(
-                    features, models[name], eb_avg, HaloQualitySpec(**d["halo"]), settings
-                )
+                halo_spec = HaloQualitySpec(**d["halo"])
+                opt = optimize_combined(features, model, eb_avg, halo_spec, settings)
             else:
-                opt = optimize_for_spectrum(features, models[name], eb_avg, settings)
+                opt = optimize_for_spectrum(features, model, eb_avg, settings)
             ebs = tuple(float(e) for e in opt.ebs)
             if verify:
-                recorded = tuple(float(e) for e in d["ebs"])
-                if float(eb_avg) != float(d["eb_avg"]):
-                    raise _mismatch(event, "eb_avg", float(eb_avg), d["eb_avg"])
-                if ebs != recorded:
-                    raise _mismatch(event, "per-partition bounds", ebs, recorded)
-            decisions.append(
+                if eb_avg != float(d["eb_avg"]):
+                    raise _diverged(event, "eb_avg", eb_avg, d["eb_avg"])
+                _check_bounds(event, ebs)
+            decided[(int(d["snapshot"]), name)] = d
+            s.decisions.append(
                 ReplayedDecision(
                     snapshot_index=int(d["snapshot"]),
                     redshift=float(d["redshift"]),
                     field=name,
-                    eb_avg=float(eb_avg),
+                    eb_avg=eb_avg,
                     ebs=ebs,
                     # Schema v1 ledgers record no spec; v2 records one
                     # (possibly null for spec-less instances).  Either
@@ -1640,33 +1535,127 @@ def replay_ledger(
                     ),
                 )
             )
-        elif event.kind == "outcome":
-            pending_bytes += int(d["compressed_bytes"])
-        elif event.kind == "resume":
-            # Schema v3: a restarted run re-executes the snapshot it was
-            # interrupted in.  Decisions recorded for it before the
-            # interruption are superseded by the copies that follow (the
-            # re-run is deterministic, so where both exist they agree),
-            # and the partial snapshot's byte accounting starts over.
-            cut = int(d["snapshot"])
-            decisions = decisions[:run_first_decision] + [
-                dec
-                for dec in decisions[run_first_decision:]
-                if dec.snapshot_index < cut
-            ]
-            pending_bytes = 0
-        elif event.kind == "budget":
-            if governor is None:
-                raise LedgerError("budget event without a governed run_start")
-            exps = [models[f].exponent for f in field_order]
-            # Must repeat _exponent_mean's exact (frozen) arithmetic.
-            exponent_mean = sum(exps) / len(exps)  # repro-lint: disable=RL006
-            if verify and pending_bytes != int(d["snapshot_bytes"]):
-                raise _mismatch(
-                    event, "snapshot bytes", pending_bytes, d["snapshot_bytes"]
+        elif kind == "outcome":
+            name = d["field"]
+            snapshot_bytes += int(d["compressed_bytes"])
+            folded = s.fields.get(name)
+            if folded is not None and drift_fed and d.get("residual") is not None:
+                # The detector consumes the numbers it saw live, so its
+                # residual window continues where the run left it (the
+                # quality channel keeps no state).
+                folded.detector.update_rate(
+                    float(d["predicted_bit_rate"]), float(d["achieved_bit_rate"])
                 )
-            scale_next = governor.observe(pending_bytes, exponent_mean)
+            # The recorded flag is authoritative for what the next snapshot
+            # must recalibrate (it folds in both drift channels).
+            if d.get("recalibrate_next"):
+                s.pending.add(name)
+            else:
+                s.pending.discard(name)
+            dd = decided.pop((int(d["snapshot"]), name), {})
+            spec_dict = dd.get("spec")
+            s.report.outcomes.append(
+                StreamOutcome(
+                    field=name,
+                    redshift=float(dd.get("redshift", float("nan"))),
+                    snapshot_index=int(d["snapshot"]),
+                    eb_base=float(dd.get("eb_base", float("nan"))),
+                    scale=float(dd.get("scale", 1.0)),
+                    eb_avg=float(dd.get("eb_avg", float("nan"))),
+                    compressor_spec=(
+                        None if spec_dict is None else CompressorSpec.from_dict(spec_dict)
+                    ),
+                    # Payloads are gone with the recording process; the
+                    # scalar accounting (and the on-disk artifacts) remain.
+                    result=None,
+                    predicted_bit_rate=float(d["predicted_bit_rate"]),
+                    achieved_bit_rate=float(d["achieved_bit_rate"]),
+                    raw_bytes=int(d["raw_bytes"]),
+                    compressed_bytes=int(d["compressed_bytes"]),
+                    residual=d.get("residual"),
+                    quality_deviation=d.get("quality_deviation"),
+                    drift_signal=None,
+                )
+            )
+        elif kind == "degradation":
+            name = d["field"]
+            s.quarantined.add(name)
+            s.report.n_degradations += 1
+            if name not in s.report.degraded_fields:
+                s.report.degraded_fields.append(name)
+        elif kind == "budget":
+            if s.governor is None:
+                raise LedgerError("budget event without a governed run_start")
+            exponent_mean = _exponent_mean(
+                f.calibration.rate_model for f in s.fields.values()
+            )
+            if verify and snapshot_bytes != int(d["snapshot_bytes"]):
+                raise _diverged(
+                    event, "snapshot bytes", snapshot_bytes, d["snapshot_bytes"]
+                )
+            scale_next = s.governor.observe(snapshot_bytes, exponent_mean)
             if verify and scale_next != d["scale_next"]:
-                raise _mismatch(event, "next scale", scale_next, d["scale_next"])
-            pending_bytes = 0
-    return decisions
+                raise _diverged(event, "next scale", scale_next, d["scale_next"])
+            snapshot_bytes = 0
+            s.n_budgets += 1
+        elif kind == "recovery":
+            s.report.n_recoveries += 1
+        elif kind == "run_end":
+            s.end = d
+    return s
+
+
+def _fold_run(run_events: list[LedgerEvent], verify: bool = True) -> _RunState:
+    """Fold one run (``run_start`` onwards) as replay reads it.
+
+    The authoritative events decide the state.  With ``verify``, every
+    attempt a ``resume`` cut short is first folded up to its marker, so
+    the decisions it superseded are checked as well.
+    """
+    if verify:
+        for i, event in enumerate(run_events):
+            if event.kind == "resume":
+                _fold(_effective_events(run_events[:i]))
+    return _fold(_effective_events(run_events), verify)
+
+
+def replay_ledger(
+    source: "RunLedger | str | os.PathLike | list[LedgerEvent]",
+    verify: bool = True,
+) -> list[ReplayedDecision]:
+    """Re-execute a run's decision logic from its ledger alone.
+
+    Folds each run's events (:func:`_fold`, the interpreter
+    :meth:`InSituController.resume` also uses) and returns the
+    re-derived decisions — no field data is read, no compressor is
+    invoked, and the bounds are bitwise identical to the live run's.
+
+    With ``verify=True`` (default) every recomputed quantity is checked
+    against the ledger and a :class:`~repro.stream.ledger.LedgerError`
+    naming the first divergence is raised (a tampered or corrupted
+    ledger, or a non-deterministic controller, which would be a bug).
+    Decisions a later ``resume`` superseded are checked too.
+
+    Schema compatibility: v2 ledgers additionally carry compressor specs
+    (surfaced on :attr:`ReplayedDecision.compressor`) and ``selection``
+    events; v1 (PR 4-era) ledgers carry neither and replay byte-for-byte
+    unchanged.  v3 ledgers add the resilience events: ``recovery`` and
+    ``degradation`` are informational, while ``resume`` supersedes the
+    partial snapshot recorded before an interruption (its authoritative
+    copies follow), so a crashed-and-resumed run replays to the same
+    decision list as an uninterrupted one.
+    """
+    if isinstance(source, RunLedger):
+        events = source.events
+    elif isinstance(source, list):
+        events = source
+    else:
+        events = RunLedger.load(source).events
+    # A ledger file may hold several runs back to back (re-opened files
+    # continue the sequence); every run replays from a clean slate.
+    runs: list[list[LedgerEvent]] = []
+    for event in events:
+        if event.kind == "run_start" or not runs:
+            runs.append([])
+        runs[-1].append(event)
+    return [d for run in runs for d in _fold_run(run, verify).decisions]

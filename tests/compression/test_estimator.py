@@ -17,11 +17,7 @@ import pytest
 from repro.compression.estimator import (
     HEADER_BYTES,
     RateEstimate,
-    byte_plane_bits,
-    code_histogram,
-    estimate_code_bits,
-    estimate_nbytes,
-    shannon_bits_per_value,
+    estimate_nbytes_rows,
 )
 from repro.compression.sz import SZCompressor
 from repro.parallel.decomposition import BlockDecomposition
@@ -47,44 +43,40 @@ def grf_field():
     )
 
 
+def _estimate(codes, codec="zlib", n_outliers=0):
+    """``(est_nbytes, code_bits_per_value)`` of one block of codes."""
+    est, bits = estimate_nbytes_rows(
+        np.array([codes], dtype=np.int64), np.array([n_outliers]), codec
+    )
+    return float(est[0]), float(bits[0])
+
+
 class TestPrimitives:
-    def test_histogram_spans_full_alphabet(self):
-        hist = code_histogram(np.array([0, 1, 5, 5], dtype=np.int64), radius=8)
-        assert hist.size == 16
-        assert hist[5] == 2 and hist.sum() == 4
-
-    def test_shannon_entropy_limits(self):
-        assert shannon_bits_per_value(np.array([10, 0, 0])) == 0.0
-        assert shannon_bits_per_value(np.array([5, 5])) == pytest.approx(1.0)
-        assert shannon_bits_per_value(np.zeros(4, dtype=np.int64)) == 0.0
-
     def test_byte_planes_split_16bit_symbols(self):
-        hist = np.zeros(1 << 16, dtype=np.int64)
-        hist[0x0102] = 4
-        hist[0x0103] = 4
-        bits, itemsize, distinct = byte_plane_bits(hist)
-        assert itemsize == 2
-        # High plane constant (0x01): 0 bits; low plane 50/50: 1 bit.
-        assert bits == pytest.approx(1.0)
-        assert distinct == 3
+        # Two equiprobable 16-bit symbols either way, but DEFLATE codes
+        # byte planes: a constant high byte costs nothing, a varying one
+        # adds its own bit.
+        _, one_plane = _estimate([0x0102, 0x0103] * 2048)
+        _, two_planes = _estimate([0x0102, 0x0203] * 2048)
+        assert two_planes - one_plane == pytest.approx(1.0, abs=0.1)
+        # The symbol-entropy (huffman) model cannot tell them apart.
+        assert (
+            _estimate([0x0102, 0x0103] * 2048, "huffman")[1]
+            == _estimate([0x0102, 0x0203] * 2048, "huffman")[1]
+        )
 
     def test_raw_codec_bits_are_exact(self):
-        hist = np.zeros(300, dtype=np.int64)
-        hist[299] = 7
-        assert estimate_code_bits(hist, "raw") == 16.0
+        assert _estimate([299] * 7, "raw")[1] == 16.0
 
     def test_estimate_nbytes_charges_header_and_outliers(self):
-        hist = np.array([0, 8], dtype=np.int64)
-        no_out, _ = estimate_nbytes(hist, 8, 0)
-        with_out, _ = estimate_nbytes(hist, 8, 3)
+        no_out, _ = _estimate([1] * 8)
+        with_out, _ = _estimate([1] * 8, n_outliers=3)
         assert no_out >= HEADER_BYTES
         assert with_out > no_out
 
     def test_estimate_nbytes_validates(self):
-        with pytest.raises(ValueError, match="n_elements"):
-            estimate_nbytes(np.array([1]), 0, 0)
-        with pytest.raises(ValueError, match="n_outliers"):
-            estimate_nbytes(np.array([1]), 4, -1)
+        with pytest.raises(ValueError, match="code matrix"):
+            estimate_nbytes_rows(np.ones(8, dtype=np.int64), np.array([0]))
 
 
 class TestAccuracy:

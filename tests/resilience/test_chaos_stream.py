@@ -9,6 +9,7 @@ nothing went wrong.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.sim.io import save_snapshot
 from repro.stream import (
     DirectoryStream,
     InSituController,
+    LedgerError,
     RunLedger,
     replay_ledger,
 )
@@ -49,6 +51,40 @@ def _payload_table(report):
             )
         )
     return table
+
+
+def _accounting(outcomes):
+    """The scalar accounting of outcomes (a resumed run restores these
+    from the ledger; payloads and drift signals are process-local)."""
+    return [
+        (
+            o.snapshot_index, o.redshift, o.field, o.eb_base, o.scale, o.eb_avg,
+            o.compressor_spec, o.predicted_bit_rate, o.achieved_bit_rate,
+            o.raw_bytes, o.compressed_bytes, o.residual, o.quality_deviation,
+        )
+        for o in outcomes
+    ]
+
+
+def _tear_ledger_append(ctl, stream, at):
+    """Run ``ctl`` until its ``at``-th ledger append lands torn: the
+    footprint of a process killed mid-write."""
+    plan = FaultPlan(seed=1).arm("ledger.append", kind="torn", at=at, fraction=0.5)
+    with plan.activate(), pytest.raises(TornWrite):
+        ctl.run(stream)
+    ctl.ledger.close()
+
+
+def _tamper_decision(src, dst, seq):
+    """Copy ledger ``src`` to ``dst`` with decision ``seq``'s first bound
+    nudged (its recorded eb_avg is left alone)."""
+    lines = src.read_text().splitlines()
+    event = json.loads(lines[seq])
+    assert event["seq"] == seq and event["kind"] == "decision"
+    event["data"]["ebs"][0] *= 1.01
+    lines[seq] = json.dumps(event)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
 
 
 class TestTransientFaultsAreInvisible:
@@ -252,6 +288,81 @@ class TestInterruptedRunResumes:
         # proven complete, so it is conservatively re-executed; the
         # resume event supersedes the duplicates on replay.
         assert replay_ledger(crash_path) == baseline
+
+    @pytest.mark.parametrize("byte_budget", [800_000, None], ids=["governed", "ungoverned"])
+    def test_twice_crashed_run_matches_the_uninterrupted_one(
+        self, chaos_stream, chaos_dec, tmp_path, byte_budget
+    ):
+        """crash -> resume -> crash -> resume: the ledger replays equal to
+        the clean run's and the final report keeps the same accounting."""
+        base_path = tmp_path / "base.jsonl"
+        clean = InSituController(
+            chaos_dec, ledger=base_path, byte_budget=byte_budget, retain_results=False
+        ).run(chaos_stream(6))
+        baseline = replay_ledger(base_path)
+
+        crash_path = tmp_path / "crash.jsonl"
+        ctl = InSituController(
+            chaos_dec, ledger=crash_path, byte_budget=byte_budget, retain_results=False
+        )
+        _tear_ledger_append(ctl, chaos_stream(6), at=12)
+        first = InSituController.resume(crash_path, retain_results=False)
+        _tear_ledger_append(first, chaos_stream(6), at=14)
+
+        resumed = InSituController.resume(crash_path, retain_results=False)
+        assert resumed.report.n_recoveries == 2
+        report = resumed.run(chaos_stream(6))
+        resumed.ledger.close()
+
+        assert len(RunLedger.load(crash_path).select("resume")) == 2
+        assert replay_ledger(crash_path) == baseline
+        assert _accounting(report.outcomes) == _accounting(clean.outcomes)
+        assert report.recalibrations == clean.recalibrations
+        assert report.compressed_bytes == clean.compressed_bytes
+
+    @pytest.mark.parametrize(
+        "byte_budget, superseded_seq",
+        [(800_000, 9), (None, 7)],
+        ids=["governed", "ungoverned"],
+    )
+    def test_tampered_superseded_decision_is_still_caught(
+        self, chaos_stream, chaos_dec, tmp_path, byte_budget, superseded_seq
+    ):
+        """Replay verifies the copies a resume supersedes, not just the
+        authoritative ones."""
+        path = tmp_path / "crash.jsonl"
+        ctl = InSituController(
+            chaos_dec, ledger=path, byte_budget=byte_budget, retain_results=False
+        )
+        _tear_ledger_append(ctl, chaos_stream(4), at=superseded_seq + 3)
+        resumed = InSituController.resume(path, retain_results=False)
+        resumed.run(chaos_stream(4))
+        resumed.ledger.close()
+        assert replay_ledger(path)
+
+        events = RunLedger.load(path).events
+        resume = next(e for e in events if e.kind == "resume")
+        target = events[superseded_seq]
+        assert target.kind == "decision" and target.seq < resume.seq
+        assert target.data["snapshot"] >= resume.data["snapshot"]
+        bad = _tamper_decision(path, tmp_path / "bad.jsonl", superseded_seq)
+        with pytest.raises(LedgerError, match="replay diverged"):
+            replay_ledger(bad)
+
+    def test_resume_rejects_a_tampered_completed_decision(
+        self, chaos_stream, chaos_dec, tmp_path
+    ):
+        path = tmp_path / "crash.jsonl"
+        ctl = InSituController(
+            chaos_dec, ledger=path, byte_budget=800_000, retain_results=False
+        )
+        _tear_ledger_append(ctl, chaos_stream(4), at=12)
+        first = next(e for e in RunLedger.load(path, recover=True).events
+                     if e.kind == "decision")
+        assert first.data["snapshot"] == 0  # completed before the crash
+        bad = _tamper_decision(path, tmp_path / "bad.jsonl", first.seq)
+        with pytest.raises(LedgerError, match="replay diverged"):
+            InSituController.resume(bad, retain_results=False)
 
     def test_resuming_a_sealed_run_is_a_noop(self, chaos_stream, chaos_dec, tmp_path):
         path = tmp_path / "done.jsonl"

@@ -263,6 +263,30 @@ class TestStreamCommand:
         out = capsys.readouterr().out
         assert "replay verified: 6 decisions" in out
 
+    def test_stream_rejects_a_tampered_ledger(self, seq_dir, tmp_path, capsys):
+        """--replay and --resume report a tampered ledger in one line
+        naming the first diverging partition, and exit 2."""
+        import json
+
+        ledger = tmp_path / "run.jsonl"
+        args = ["stream", "--dir", str(seq_dir), "--blocks", "2",
+                "--fields", "temperature", "--ledger", str(ledger)]
+        assert main(args) == 0
+        lines = ledger.read_text().splitlines()
+        seq = next(i for i, line in enumerate(lines) if '"kind":"decision"' in line)
+        event = json.loads(lines[seq])
+        event["data"]["ebs"][1] *= 1.01
+        lines[seq] = json.dumps(event)
+        ledger.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+
+        for argv in (["stream", "--replay", str(ledger)], [*args, "--resume"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith(f"stream: replay diverged at seq {seq} ")
+            assert "bound of partition 1 " in err
+            assert "\n" not in err and len(err) < 200
+
     def test_stream_simulate(self, capsys):
         rc = main(
             [
